@@ -25,20 +25,15 @@ regressions without flaking on slow runners.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-
-import pytest
 
 from repro.chip.builder import build_chip
 from repro.config.noc import NocConfig, Topology
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.noc.mesh import MeshNetwork
-from repro.noc.vector import TRANSPORT_ENV_VAR
 from repro.sim.kernel import HeapSimulator, Simulator
-from repro.sim.soa import HAVE_NUMPY
 from repro.workloads.traffic import UniformRandomTrafficGenerator
 
 from bench_common import emit
@@ -92,51 +87,37 @@ def _bench_workload() -> WorkloadConfig:
 
 
 def _run_traffic_mesh(name: str, injection_rate: float, link_width_bits: int,
-                      cycles: int, kernel_cls=Simulator,
-                      transport: str = None) -> HotpathResult:
-    # transport=None leaves REPRO_TRANSPORT alone so the whole benchmark
-    # can be driven under either transport from the environment (CI runs
-    # both); the explicit comparison test pins each side.
-    saved = os.environ.get(TRANSPORT_ENV_VAR)
-    if transport is not None:
-        os.environ[TRANSPORT_ENV_VAR] = transport
-    try:
-        best = None
-        for _ in range(ROUNDS):
-            noc = NocConfig(topology=Topology.MESH, link_width_bits=link_width_bits)
-            config = SystemConfig(num_cores=64, noc=noc, seed=3)
-            sim = kernel_cls(seed=3)
-            coords = {i: (i % 8, i // 8) for i in range(64)}
-            network = MeshNetwork(sim, config, coords)
-            generator = UniformRandomTrafficGenerator(
-                sim, network, list(coords), injection_rate, seed=5
-            )
-            generator.start()
-            start = time.perf_counter()
-            sim.run(cycles)
-            wall = time.perf_counter() - start
-            result = HotpathResult(
-                name=name,
-                wall_s=wall,
-                cycles=cycles,
-                events=sim.events_processed,
-                work_items=int(network.messages_delivered.value),
-            )
-            if best is None:
+                      cycles: int, kernel_cls=Simulator) -> HotpathResult:
+    best = None
+    for _ in range(ROUNDS):
+        noc = NocConfig(topology=Topology.MESH, link_width_bits=link_width_bits)
+        config = SystemConfig(num_cores=64, noc=noc, seed=3)
+        sim = kernel_cls(seed=3)
+        coords = {i: (i % 8, i // 8) for i in range(64)}
+        network = MeshNetwork(sim, config, coords)
+        generator = UniformRandomTrafficGenerator(
+            sim, network, list(coords), injection_rate, seed=5
+        )
+        generator.start()
+        start = time.perf_counter()
+        sim.run(cycles)
+        wall = time.perf_counter() - start
+        result = HotpathResult(
+            name=name,
+            wall_s=wall,
+            cycles=cycles,
+            events=sim.events_processed,
+            work_items=int(network.messages_delivered.value),
+        )
+        if best is None:
+            best = result
+        else:
+            # The simulation is deterministic; only the clock varies.
+            assert result.events == best.events
+            assert result.work_items == best.work_items
+            if result.wall_s < best.wall_s:
                 best = result
-            else:
-                # The simulation is deterministic; only the clock varies.
-                assert result.events == best.events
-                assert result.work_items == best.work_items
-                if result.wall_s < best.wall_s:
-                    best = result
-        return best
-    finally:
-        if transport is not None:
-            if saved is None:
-                os.environ.pop(TRANSPORT_ENV_VAR, None)
-            else:
-                os.environ[TRANSPORT_ENV_VAR] = saved
+    return best
 
 
 def _run_chip_mesh(name: str, cycles: int) -> HotpathResult:
@@ -235,8 +216,6 @@ def test_calendar_vs_heap_kernel_congested_mesh():
       ~1.4x on the lighter uniform mesh, where ring appends and the
       batch-drained buckets are a larger slice of the per-event cost.
     """
-    if os.environ.get("REPRO_KERNEL", "").strip().lower() == "heap":
-        pytest.skip("REPRO_KERNEL=heap would alias both sides to the heap kernel")
     heap = _run_traffic_mesh("heap", injection_rate=0.25,
                              link_width_bits=64, cycles=6_000,
                              kernel_cls=HeapSimulator)
@@ -258,49 +237,4 @@ def test_calendar_vs_heap_kernel_congested_mesh():
     assert speedup > 0.9, (
         f"calendar queue slower than the reference heap "
         f"({calendar.wall_s:.2f}s vs {heap.wall_s:.2f}s)"
-    )
-
-
-def test_vector_vs_scalar_transport_congested_mesh():
-    """Vector (SoA-batched) vs scalar transport on the congested 8x8 mesh.
-
-    Two gates in one measurement:
-
-    * **Equivalence** — both transports must process the exact same number
-      of events and deliver the same packets; the vector engine never
-      adds, drops or moves kernel events, it only changes how a tick's
-      body computes (``scripts/check_transport_equivalence.py`` diffs the
-      full statistics trees on three scenarios, including this one).
-    * **Bounded overhead** — the floor below guards against the batched
-      path degrading into pathology, not against it being slower than
-      scalar.  Measured honestly: on this 64-router scenario the vector
-      transport runs at ~0.6-0.7x scalar, because keeping the SoA mirrors
-      bit-exact costs ~35-40% per event while the event-driven scalar
-      baseline leaves only ~25% of its time in batchable scan work.  The
-      gap narrows with router count (~0.72x at 24x24); see the measured
-      tables and the overhead decomposition in docs/performance.md.
-    """
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable: REPRO_TRANSPORT=vector aliases to scalar")
-    scalar = _run_traffic_mesh("scalar", injection_rate=0.25,
-                               link_width_bits=64, cycles=6_000,
-                               transport="scalar")
-    vector = _run_traffic_mesh("vector", injection_rate=0.25,
-                               link_width_bits=64, cycles=6_000,
-                               transport="vector")
-
-    speedup = scalar.wall_s / vector.wall_s
-    lines = _render([scalar, vector]).splitlines()
-    lines.append(f"vector speedup over scalar transport: {speedup:.2f}x")
-    emit("Transport comparison: vector vs scalar (congested 8x8 mesh)",
-         "\n".join(lines))
-
-    assert vector.events == scalar.events, (
-        f"transport divergence: vector processed {vector.events} events, "
-        f"scalar {scalar.events} — event order differs, trace before shipping"
-    )
-    assert vector.work_items == scalar.work_items
-    assert speedup > 0.5, (
-        f"vector transport pathologically slow "
-        f"({vector.wall_s:.2f}s vs {scalar.wall_s:.2f}s scalar)"
     )

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """CI check: a lease-based farm fill serves the figure query path warm.
 
-The columnar-store generalisation of ``check_sharded_sweep.py`` — instead
-of fixed hash-range shards plus a manual cache merge, two concurrent farm
+Instead of fixed hash-range shards combined by hand, two concurrent farm
 worker *processes* race over the whole Figure-1 spec through the on-disk
 lease queue:
 

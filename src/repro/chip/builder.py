@@ -15,32 +15,10 @@ from repro.chip.system_map import SystemMap
 
 
 def build_network(sim: Simulator, config: SystemConfig, system_map: SystemMap) -> Network:
-    """Instantiate the interconnect matching ``config.noc.topology``.
-
-    Transport selection (``REPRO_TRANSPORT``) happens inside the
-    mesh-family network constructors; a vector request against a fabric
-    without vector support falls back to scalar with a one-line warning
-    (results are bit-identical either way).
-    """
-    import warnings
-
+    """Instantiate the interconnect matching ``config.noc.topology``."""
     from repro.scenarios.registry import fabric_for
-    from repro.sim.soa import HAVE_NUMPY
-    from repro.noc.vector import transport_mode
 
-    network = fabric_for(config).build_network(sim, config, system_map)
-    if (
-        HAVE_NUMPY
-        and transport_mode() == "vector"
-        and getattr(network, "transport", "scalar") != "vector"
-    ):
-        warnings.warn(
-            f"REPRO_TRANSPORT=vector: fabric {config.noc.topology!r} has no "
-            "vectorized transport; using the scalar path",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return network
+    return fabric_for(config).build_network(sim, config, system_map)
 
 
 def build_chip(config: SystemConfig, workload_map=None) -> "repro.chip.chip.Chip":  # noqa: F821

@@ -28,10 +28,6 @@ class VirtualChannelBuffer:
         "_queue",
         "_space_waiters",
         "head_route",
-        "_soa_reserved",
-        "_soa_gid",
-        "_soa_route_valid",
-        "_soa_state_gid",
     )
 
     def __init__(self, capacity_flits: int, name: str = "vc") -> None:
@@ -52,16 +48,6 @@ class VirtualChannelBuffer:
         #: the owning router: ``(packet, out_index, out_port,
         #: downstream_vc_index, downstream_vc)`` — see ``Router._head_route``.
         self.head_route: Optional[tuple] = None
-        #: Struct-of-arrays write-through slots, assigned only when this VC
-        #: belongs to a vector-transport network (``repro.noc.vector``):
-        #: ``_soa_reserved[_soa_gid]`` mirrors ``_reserved_flits`` and
-        #: ``_soa_route_valid[_soa_state_gid]`` is the owning state's
-        #: route-cache validity flag, both kept current by :meth:`pop`.
-        #: ``None`` in scalar mode, where pop pays one attribute test.
-        self._soa_reserved = None
-        self._soa_gid = 0
-        self._soa_route_valid = None
-        self._soa_state_gid = 0
 
     # ------------------------------------------------------------------ #
     def can_reserve(self, flits: int) -> bool:
@@ -109,10 +95,6 @@ class VirtualChannelBuffer:
         if self._reserved_flits < 0 or self._occupied_flits < 0:
             raise RuntimeError(f"{self.name}: negative occupancy (flow-control bug)")
         self.head_route = None
-        reserved_mirror = self._soa_reserved
-        if reserved_mirror is not None:
-            reserved_mirror[self._soa_gid] = self._reserved_flits
-            self._soa_route_valid[self._soa_state_gid] = False
         waiters = self._space_waiters
         if waiters:
             self._space_waiters = {}

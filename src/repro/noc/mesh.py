@@ -15,7 +15,6 @@ from repro.noc.buffer import InputPort
 from repro.noc.network import Network
 from repro.noc.router import Router
 from repro.noc.topology import GridGeometry, tiled_grid_geometry
-from repro.noc.vector import VectorRouter, VectorTransportEngine, resolve_transport
 
 Coordinate = Tuple[int, int]
 
@@ -47,22 +46,10 @@ class MeshNetwork(Network):
         self._direction_port: Dict[Tuple[Coordinate, str], int] = {}
         self._eject_port: Dict[Tuple[Coordinate, int], int] = {}
 
-        # Transport backend (REPRO_TRANSPORT): the vector engine batches
-        # per-cycle arbitration across routers with bit-identical results;
-        # see repro.noc.vector.  Scalar is the default and the reference.
-        self.transport = resolve_transport()
-        self._transport_engine = None
-        self._router_cls = Router
-        if self.transport == "vector":
-            self._router_cls = VectorRouter
-            self._transport_engine = VectorTransportEngine(sim)
-
         self._build_routers()
         self._build_mesh_links()
         self._attach_interfaces()
         self._build_routing_tables()
-        if self._transport_engine is not None:
-            self._transport_engine.finalize(self.routers, self.interfaces.values())
 
     # ------------------------------------------------------------------ #
     def _new_input_port(self, label: str) -> InputPort:
@@ -74,7 +61,7 @@ class MeshNetwork(Network):
 
     def _build_routers(self) -> None:
         for coord in self.geometry.all_coords():
-            router = self._router_cls(
+            router = Router(
                 self.sim,
                 f"{self.name}.r{coord[0]}_{coord[1]}",
                 pipeline_latency=self.noc.mesh_router_pipeline,

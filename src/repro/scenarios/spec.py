@@ -51,8 +51,9 @@ Sharding
 ``spec.shard(i, n)`` returns a spec whose expansion keeps only the points
 with ``content_hash % n == i``.  The hash is stable across processes and
 machines, so ``n`` machines can each run one shard against a private cache
-and the caches can be merged afterwards (:mod:`repro.scenarios.merge`);
-every point of the full spec lands in exactly one shard.
+and the caches can be imported into one store afterwards
+(:mod:`repro.store.migrate`); every point of the full spec lands in
+exactly one shard.
 
 Serialisation
 -------------

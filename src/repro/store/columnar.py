@@ -38,8 +38,8 @@ Properties the rest of the result path relies on:
 * **Compaction is canonical.**  :meth:`ColumnarStore.compact` folds every
   segment into one, deduplicated and sorted by hash — byte-stable for a
   given set of rows, so compacting a farm-filled store and a serial run of
-  the same sweep produce identical segment files.  This is the columnar
-  replacement for ``repro.scenarios.merge``: import each shard with
+  the same sweep produce identical segment files.  This is how shard
+  caches are combined: import each shard with
   ``python -m repro.store.migrate`` (or let farm workers append directly)
   and compact once.
 """

@@ -9,9 +9,8 @@ migrated store (``REPRO_STORE=columnar REPRO_CACHE_DIR=<store>`` or
 ``--store``) performs zero simulations and regenerates the report
 byte-identically.
 
-This is also the columnar replacement for the shard-merge step of the
-two-machine recipe: import each shard cache into one store (collisions
-dedupe on compact) instead of ``python -m repro.scenarios.merge``.
+This is also the merge step of the two-machine recipe: import each shard
+cache into one store (collisions dedupe on compact).
 
 Usage::
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.chip.chip
 from repro.chip.builder import build_chip, build_network
 from repro.chip.system_map import build_system_map
 from repro.config.noc import NocConfig
@@ -317,16 +318,17 @@ class TestChipletDeterminism:
         assert calendar["generator"] == heap["generator"]
 
     def test_kernels_agree_on_a_chiplet_chip(self, monkeypatch):
-        def run_chip():
+        def run_chip(kernel):
             config = chiplet_system(num_cores=64).with_workload(small_workload())
-            return build_chip(config).run_experiment(
+            chip = build_chip(config)
+            assert chip.sim.kernel == kernel
+            return chip.run_experiment(
                 warmup_references=300, detailed_warmup_cycles=200, measure_cycles=600
             )
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        calendar = run_chip()
-        monkeypatch.setenv("REPRO_KERNEL", "heap")
-        heap = run_chip()
+        calendar = run_chip("calendar")
+        monkeypatch.setattr(repro.chip.chip, "Simulator", HeapSimulator)
+        heap = run_chip("heap")
         assert calendar.to_dict() == heap.to_dict()
 
     def test_chiplet_run_is_stable_across_process_restarts(self):

@@ -1,7 +1,6 @@
 """Tests for the declarative scenario API (registries, SweepSpec, ResultSet)."""
 
 import itertools
-import json
 import os
 import time
 
@@ -38,7 +37,6 @@ from repro.scenarios import (
     workload_names,
     workloads,
 )
-from repro.scenarios.merge import merge_caches
 
 from tests._fixtures import TINY_SETTINGS, small_workload
 
@@ -593,58 +591,3 @@ class TestCacheSizeCap:
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-1")
         with pytest.raises(ValueError):
             default_cache_max_bytes()
-
-
-# --------------------------------------------------------------------- #
-# Cache merging
-# --------------------------------------------------------------------- #
-class TestCacheMerge:
-    def test_merge_combines_shard_caches(self, tmp_path):
-        spec = ONE_WORKLOAD_SPEC
-        for index in range(2):
-            executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / f"s{index}"))
-            run_sweep(spec.shard(index, 2), executor=executor)
-
-        merged = tmp_path / "merged"
-        stats0 = merge_caches(tmp_path / "s0", merged)
-        stats1 = merge_caches(tmp_path / "s1", merged)
-        assert stats0.copied + stats1.copied == len(spec.expand())
-        assert stats0.skipped_collisions == stats1.skipped_collisions == 0
-
-        executor = SweepExecutor(jobs=1, cache=ResultCache(merged))
-        run_sweep(spec, executor=executor)
-        assert executor.last_stats.simulations_run == 0
-
-    def test_collisions_skipped_and_content_preserved(self, tmp_path):
-        source = tmp_path / "src"
-        dest = tmp_path / "dst"
-        source.mkdir()
-        dest.mkdir()
-        name = "a" * 64 + ".json"
-        (source / name).write_text('{"from": "source"}')
-        (dest / name).write_text('{"from": "dest"}')
-        (source / "notes.txt").write_text("not a result")
-
-        stats = merge_caches(source, dest)
-        assert stats.copied == 0
-        assert stats.skipped_collisions == 1
-        assert stats.ignored_files == 1
-        assert json.loads((dest / name).read_text()) == {"from": "dest"}
-
-        stats = merge_caches(source, dest, overwrite=True)
-        assert stats.copied == 1
-        assert json.loads((dest / name).read_text()) == {"from": "source"}
-
-    def test_missing_source_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            merge_caches(tmp_path / "nope", tmp_path / "dst")
-
-    def test_cli_entry_point(self, tmp_path, capsys):
-        from repro.scenarios.merge import main
-
-        source = tmp_path / "src"
-        source.mkdir()
-        (source / ("b" * 64 + ".json")).write_text("{}")
-        assert main([str(source), str(tmp_path / "dst")]) == 0
-        assert "copied 1" in capsys.readouterr().out
-        assert main([str(tmp_path / "nope"), str(tmp_path / "dst")]) == 1

@@ -377,26 +377,6 @@ def test_next_event_cycle_reports_earliest(kernel_cls):
     assert sim.next_event_cycle == 300
 
 
-def test_env_selects_heap_kernel(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "heap")
-    sim = Simulator(seed=1)
-    assert isinstance(sim, HeapSimulator)
-    assert sim.kernel == "heap"
-    monkeypatch.delenv("REPRO_KERNEL")
-    assert Simulator(seed=1).kernel == "calendar"
-
-
-def test_env_rejects_unknown_kernel(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "hep")
-    with pytest.raises(ValueError, match="REPRO_KERNEL"):
-        Simulator(seed=1)
-    # Explicit 'calendar' and direct HeapSimulator construction stay valid.
-    monkeypatch.setenv("REPRO_KERNEL", "calendar")
-    assert Simulator(seed=1).kernel == "calendar"
-    monkeypatch.setenv("REPRO_KERNEL", "hep")
-    assert HeapSimulator(seed=1).kernel == "heap"
-
-
 def test_kernels_execute_identical_event_order():
     """Randomized workload: both kernels fire events in the same order."""
     import random

@@ -30,6 +30,7 @@ from repro.store.farm import LeaseQueue, run_worker
 
 from tests._fixtures import TINY_SETTINGS
 from tests.test_engine import tiny_point
+from tests.test_scenarios import ONE_WORKLOAD_SPEC
 
 
 def fake_result(seed: int = 0) -> SimulationResults:
@@ -282,6 +283,33 @@ class TestMigrate:
         assert replay["stats"].simulations_run == 0
         assert replay["stats"].cache_misses == 0
         assert replay["text"] == baseline["text"]
+
+    def test_sharded_json_caches_combine_into_one_store(self, tmp_path):
+        """Shard -> one JSON cache per shard -> migrate both -> compact.
+
+        The combined store must serve the unsharded sweep without a single
+        simulation: every point lands in exactly one shard, and importing
+        loses none of them.
+        """
+        spec = ONE_WORKLOAD_SPEC
+        for index in range(2):
+            executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / f"s{index}"))
+            run_sweep(spec.shard(index, 2), executor=executor)
+
+        store = ColumnarStore(tmp_path / "store")
+        imported = sum(
+            migrate.migrate_cache(tmp_path / f"s{index}", store, compact=False).imported
+            for index in range(2)
+        )
+        assert imported == len(spec.expand())
+        store.compact()
+        assert len(store.segment_paths()) == 1
+
+        executor = SweepExecutor(
+            jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
+        )
+        run_sweep(spec, executor=executor)
+        assert executor.last_stats.simulations_run == 0
 
 
 class TestLeaseQueue:

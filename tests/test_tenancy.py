@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.chip.chip
 from repro.chip.chip import Chip
 from repro.config.noc import Topology
 from repro.experiments.engine import ExperimentPoint
@@ -607,10 +608,10 @@ class TestTenancyDeterminism:
         assert calendar["generator"] == heap["generator"]
 
     def test_kernels_agree_on_a_tenanted_chip(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        _chip, calendar = run_tenancy_chip(split_pair(rate=0.08))
-        monkeypatch.setenv("REPRO_KERNEL", "heap")
-        _chip, heap = run_tenancy_chip(split_pair(rate=0.08))
+        calendar_chip, calendar = run_tenancy_chip(split_pair(rate=0.08))
+        monkeypatch.setattr(repro.chip.chip, "Simulator", HeapSimulator)
+        heap_chip, heap = run_tenancy_chip(split_pair(rate=0.08))
+        assert (calendar_chip.sim.kernel, heap_chip.sim.kernel) == ("calendar", "heap")
         assert calendar.to_dict() == heap.to_dict()
 
     def test_tenanted_run_is_stable_across_process_restarts(self):
