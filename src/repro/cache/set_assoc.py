@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config.cache import CacheConfig
 
@@ -109,6 +109,38 @@ class SetAssociativeCache:
             self.evictions += 1
         cache_set[tag] = state
         return victim
+
+    def insert_many(self, lines: Iterable[Tuple[int, CacheLineState]]) -> None:
+        """Install ``(addr, state)`` lines in order, dropping the victims.
+
+        The bulk form of :meth:`insert` for functional warm-up: it leaves
+        exactly the per-set LRU order, states and ``evictions`` count that
+        calling ``insert(addr, state)`` line by line would, without the
+        per-line call.
+        """
+        sets = self._sets
+        shift = self._block_shift
+        divisor = self._index_divisor
+        num_sets = self.num_sets
+        associativity = self.associativity
+        invalid = CacheLineState.INVALID
+        evictions = 0
+        try:
+            for addr, state in lines:
+                if state is invalid:
+                    raise ValueError("cannot insert a line in the INVALID state")
+                block = addr >> shift
+                cache_set = sets[(block // divisor) % num_sets]
+                if block in cache_set:
+                    cache_set[block] = state
+                    cache_set.move_to_end(block)
+                    continue
+                if len(cache_set) >= associativity:
+                    cache_set.popitem(last=False)
+                    evictions += 1
+                cache_set[block] = state
+        finally:
+            self.evictions += evictions
 
     def update_state(self, addr: int, state: CacheLineState) -> None:
         """Change the state of a resident line (or invalidate it)."""

@@ -8,11 +8,14 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.directory import DirectoryController
 from repro.cache.memory_controller import MemoryController
+from repro.cache.set_assoc import CacheLineState, SetAssociativeCache
 from repro.config.noc import topology_key
 from repro.config.system import SystemConfig
 from repro.cpu.core_node import CoreNode
@@ -304,39 +307,95 @@ class Chip:
     def warmup(self, references_per_core: int = 3000) -> None:
         """Functionally warm the caches and directory before timed simulation.
 
-        The full instruction footprint is installed in the LLC (it fits in
-        the 8 MB cache, mirroring the paper's warmed checkpoints), and each
-        core replays a short reference stream to warm its private L1s and
-        the shared-region directory state.
+        Mirrors the paper's warmed checkpoints: the full instruction
+        footprint is installed in the LLC, and each core replays a short
+        reference stream to warm its private L1s and the shared-region
+        directory state.  A footprint larger than the LLC evicts in LRU
+        order, exactly as per-block inserts in address order would.
+
+        The work is done in bulk (one pass per LLC bank and per L1 array
+        through :meth:`SetAssociativeCache.insert_many`), but the
+        resulting state is identical to installing every reference one
+        address at a time.
         """
         if not self.core_nodes:
             return
-        block = self.config.caches.block_size
-
         # One footprint per tenant (homogeneous chips share a single
         # region); sorted so the fill order is deterministic.
         instruction_regions = sorted(
             {node.core.stream.instruction_region for node in self.core_nodes.values()}
         )
-        for instr_base, instr_size in instruction_regions:
-            for addr in range(instr_base, instr_base + instr_size, block):
-                home = self.system_map.home_node(addr)
-                self.directories[home].warm_fill(addr)
+        self._warm_instruction_footprint(instruction_regions)
+        self._replay_references(references_per_core)
 
+    def _warm_instruction_footprint(self, regions: List[Tuple[int, int]]) -> None:
+        """Install each instruction region in the LLC, one bank at a time.
+
+        Banks are independent arrays, so filling each one with its own
+        blocks in address order leaves the same state as one pass over the
+        region.  Under the interleaving contract of
+        :meth:`SystemMap.home_node`, global bank ``g`` holds every
+        ``num_llc_banks``-th block of a region, starting at the first block
+        whose ``home_bank`` is ``g``.
+        """
+        mapper = self.system_map.mapper
+        num_banks = mapper.num_llc_banks
+        block = mapper.block_size
+        stride = num_banks * block
+        # Global banks grouped by the LLC array they land in (one bank per
+        # array in every built-in layout; a merge keeps address order if a
+        # layout folds several onto one array).
+        banks_of_array: Dict[int, Tuple[SetAssociativeCache, List[int]]] = {}
+        for bank, node in enumerate(self.system_map.home_nodes_by_bank()):
+            array = self.directories[node].bank_for(bank * block).array
+            banks_of_array.setdefault(id(array), (array, []))[1].append(bank)
+
+        for array, banks in banks_of_array.values():
+            for base, size in regions:
+                first = mapper.home_bank(base)
+                per_bank = [
+                    range(base + (bank - first) % num_banks * block, base + size, stride)
+                    for bank in banks
+                ]
+                addresses = per_bank[0] if len(per_bank) == 1 else heapq.merge(*per_bank)
+                array.insert_many(zip(addresses, repeat(CacheLineState.SHARED)))
+
+    def _replay_references(self, references_per_core: int) -> None:
+        """Replay each core's warm-up references into its L1s and the directory.
+
+        Each core's stream is consumed exactly as the timed run would, so
+        the RNG draws are unchanged.  Private lines go straight into the
+        L1 arrays; the rare shared-data references also register the core
+        as a sharer (or owner) at the home directory.
+        """
+        # Lines are aligned to the chip's block size, as CoreNode.warm_* do.
+        block_mask = ~(self.config.caches.block_size - 1)
+        home_node = self.system_map.home_node
+        directories = self.directories
+        shared, modified = CacheLineState.SHARED, CacheLineState.MODIFIED
         for core_id, node in self.core_nodes.items():
             stream = node.core.stream
             shared_base, shared_size = stream.shared_region
-            for addr, is_instruction, is_write in stream.functional_references(references_per_core):
+            shared_end = shared_base + shared_size
+            instruction_lines: List[int] = []
+            data_lines: List[Tuple[int, CacheLineState]] = []
+            for addr, is_instruction, is_write in stream.functional_references(
+                references_per_core
+            ):
                 if is_instruction:
-                    node.warm_instruction(addr)
-                    continue
-                shared = shared_base <= addr < shared_base + shared_size
-                # Private lines that are ever written end up modified in steady
-                # state; warming them writable avoids a long upgrade transient.
-                node.warm_data(addr, writable=is_write or not shared)
-                if shared:
-                    home = self.system_map.home_node(addr)
-                    self.directories[home].warm_fill(addr, sharer=core_id, writable=is_write)
+                    instruction_lines.append(addr & block_mask)
+                elif shared_base <= addr < shared_end:
+                    data_lines.append((addr & block_mask, modified if is_write else shared))
+                    directories[home_node(addr)].warm_fill(
+                        addr, sharer=core_id, writable=is_write
+                    )
+                else:
+                    # Private lines that are ever written end up modified in
+                    # steady state; warming them writable avoids a long
+                    # upgrade transient.
+                    data_lines.append((addr & block_mask, modified))
+            node.l1i.array.insert_many(zip(instruction_lines, repeat(shared)))
+            node.l1d.array.insert_many(data_lines)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -53,7 +53,28 @@ class SystemMap:
 
     # --- address mapping -------------------------------------------------- #
     def home_node(self, addr: int) -> int:
+        """Network node of the directory/LLC slice that is home to ``addr``.
+
+        Interleaving contract: the home node depends only on
+        ``self.mapper.home_bank(addr)``, the global LLC bank of the block.
+        Every layout here satisfies it; :meth:`home_nodes_by_bank` and the
+        bulk functional warm-up rely on it, so a plugin map that breaks it
+        would warm the wrong banks.
+        """
         raise NotImplementedError
+
+    def home_nodes_by_bank(self) -> List[int]:
+        """Home node of each global LLC bank, indexed by ``mapper.home_bank``.
+
+        Resolved through :meth:`home_node` on each bank's first block,
+        which under the interleaving contract stands for every block of
+        that bank.
+        """
+        mapper = self.mapper
+        return [
+            self.home_node(bank * mapper.block_size)
+            for bank in range(mapper.num_llc_banks)
+        ]
 
     def mc_node_for(self, addr: int) -> int:
         raise NotImplementedError

@@ -154,7 +154,12 @@ class SyntheticWorkloadStream(WorkloadStream):
         return FetchBlock(iaddr=iaddr, n_instructions=n_instructions, data_accesses=accesses)
 
     def functional_references(self, count: int):
-        """Yield warm-up references without advancing simulated time."""
+        """Yield warm-up references without advancing simulated time.
+
+        ``count`` is a lower bound: the stream always completes the fetch
+        block it is in, so the last block's data accesses may carry the
+        total past ``count``.
+        """
         produced = 0
         while produced < count:
             block = self.next_block()

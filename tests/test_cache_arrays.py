@@ -1,5 +1,7 @@
 """Unit tests for address mapping, cache arrays, MSHRs and L1 caches."""
 
+import random
+
 import pytest
 
 from repro.cache.address import AddressMapper
@@ -133,6 +135,29 @@ class TestSetAssociativeCache:
         resident = cache.resident_blocks()
         assert resident[0x100] == CacheLineState.SHARED
         assert resident[0x2000] == CacheLineState.MODIFIED
+
+    def test_insert_many_matches_per_line_inserts(self):
+        rng = random.Random(5)
+        states = [CacheLineState.SHARED, CacheLineState.MODIFIED, CacheLineState.EXCLUSIVE]
+        lines = [(rng.randrange(4096) * 8 + rng.randrange(8), rng.choice(states)) for _ in range(600)]
+        for divisor in (1, 4):
+            bulk = SetAssociativeCache(CacheConfig(1024, 2, 64), "bulk", index_divisor=divisor)
+            single = SetAssociativeCache(CacheConfig(1024, 2, 64), "single", index_divisor=divisor)
+            for cache in (bulk, single):
+                cache.insert(0x40, CacheLineState.MODIFIED)  # pre-existing line
+            bulk.insert_many(iter(lines))
+            for addr, state in lines:
+                single.insert(addr, state)
+            assert [list(s.items()) for s in bulk._sets] == [list(s.items()) for s in single._sets]
+            assert bulk.evictions == single.evictions > 0
+
+    def test_insert_many_rejects_invalid_state_after_counting_earlier_lines(self):
+        cache = small_cache(size=2 * 64, assoc=2, block=64)  # one set, two ways
+        lines = [(0, CacheLineState.SHARED), (64, CacheLineState.SHARED), (128, CacheLineState.SHARED)]
+        with pytest.raises(ValueError):
+            cache.insert_many(lines + [(192, CacheLineState.INVALID)])
+        assert cache.evictions == 1
+        assert cache.probe(192) is None
 
 
 class TestMshrFile:

@@ -1,5 +1,7 @@
 """Unit tests for node-id assignment, placement and address interleaving."""
 
+import random
+
 import pytest
 
 from repro.chip.system_map import NocOutSystemMap, TiledSystemMap, build_system_map
@@ -116,3 +118,29 @@ class TestBuildSystemMap:
         )
         assert isinstance(build_system_map(small_system(Topology.IDEAL)), TiledSystemMap)
         assert isinstance(build_system_map(small_system(Topology.NOC_OUT)), NocOutSystemMap)
+
+
+class TestInterleavingContract:
+    """The home node of an address depends only on its global LLC bank.
+
+    Every registered fabric (built-ins and plugins alike) must honour this:
+    the bulk functional warm-up fills the LLC one global bank at a time
+    through :meth:`SystemMap.home_nodes_by_bank`.
+    """
+
+    @pytest.mark.parametrize("num_cores", [64, 256])
+    def test_home_node_depends_only_on_home_bank(self, num_cores):
+        from repro.scenarios.registry import build_system, fabric_for, topology_names
+
+        rng = random.Random(num_cores)
+        bases = (0, 0x1_0000_0000, 0x10_0000_0000, 0x80_0000_0000, 0x180_0000_0000)
+        addresses = [base + rng.randrange(1 << 32) for base in bases for _ in range(400)]
+        for topology in topology_names():
+            config = build_system(topology, num_cores=num_cores)
+            system_map = fabric_for(config).build_system_map(config)
+            by_bank = system_map.home_nodes_by_bank()
+            assert len(by_bank) == system_map.mapper.num_llc_banks, topology
+            assert set(by_bank) == set(system_map.llc_node_ids), topology
+            for addr in addresses:
+                bank = system_map.mapper.home_bank(addr)
+                assert system_map.home_node(addr) == by_bank[bank], (topology, hex(addr))
