@@ -6,16 +6,16 @@ worker *processes* race over the whole Figure-1 spec through the on-disk
 lease queue:
 
 1. launch two ``python -m repro.store.farm`` workers against one shared
-   store and wait for both to drain the spec;
+   result cache directory and wait for both to drain the spec;
 2. require the lease protocol did its job: the workers' simulated sets
    are disjoint and their union covers every point exactly once;
-3. compact the store and require a single canonical segment holding the
-   full sweep;
+3. require the directory holds exactly one ``<hash>.json`` entry per
+   point of the sweep and that no ``*.lease`` file is left behind;
 4. serve the figure and a pivot through ``python -m repro.store.query``
    and require success — the query CLI cannot simulate by construction,
    so a warm answer proves zero re-simulations;
 5. regenerate the figure's report section through the reporting layer
-   against the same store (``--store``) and require zero simulations.
+   against the same directory and require zero simulations.
 
 Honours ``REPRO_EXPERIMENT_SCALE`` / ``REPRO_JOBS``; CI runs it at scale
 0.1.  Violations raise (explicitly, not via ``assert``, so ``python -O``
@@ -24,8 +24,8 @@ cannot strip the checks) and exit non-zero.
 Usage::
 
     PYTHONPATH=src REPRO_EXPERIMENT_SCALE=0.1 python scripts/check_store_farm.py
-    # keep the filled store (e.g. for a CI artifact):
-    ... python scripts/check_store_farm.py --store-dir farm-store
+    # keep the filled cache directory (e.g. for a CI artifact):
+    ... python scripts/check_store_farm.py --store-dir farm-cache
 """
 
 import argparse
@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.experiments.fig1_scaling import figure1_spec  # noqa: E402
 from repro.reporting.cli import CountingExecutor, generate  # noqa: E402
 from repro.experiments.engine import ResultCache  # noqa: E402
-from repro.store.columnar import ColumnarStore  # noqa: E402
 
 WORKERS = 2
 FIGURE = "fig1"
@@ -69,7 +68,6 @@ def run_farm_workers(store_dir: Path, summaries_dir: Path) -> list:
                         "--figure", FIGURE,
                         "--store", str(store_dir),
                         "--worker-id", f"w{index}",
-                        "--flush", "2",
                         "--summary", str(summary),
                     ],
                 ),
@@ -100,7 +98,7 @@ def main() -> int:
     parser.add_argument(
         "--store-dir",
         default=None,
-        help="fill this store directory (kept afterwards) instead of a temp dir",
+        help="fill this cache directory (kept afterwards) instead of a temp dir",
     )
     args = parser.parse_args()
 
@@ -130,17 +128,15 @@ def main() -> int:
             f"workers covered {len(union)} of {len(all_hashes)} points",
         )
 
-        store = ColumnarStore(store_dir)
-        compact_stats = store.compact()
-        print(f"  compacted: {compact_stats.summary()}")
+        leftover = sorted(path.name for path in store_dir.rglob("*.lease"))
+        check(not leftover, f"{len(leftover)} lease file(s) left behind: {leftover[:3]}")
+        stored = sorted(path.stem for path in store_dir.glob("*.json"))
         check(
-            len(store.segment_paths()) == 1,
-            f"compaction left {len(store.segment_paths())} segments, expected 1",
+            len(stored) == len(all_hashes) and set(stored) == all_hashes,
+            f"cache holds {len(stored)} entries, expected exactly one per point "
+            f"({len(all_hashes)})",
         )
-        check(
-            set(store.hashes()) == all_hashes,
-            "compacted store does not hold exactly the sweep's points",
-        )
+        print(f"  {len(stored)} entries, one per point; no lease left")
 
         figure_text = run_query(store_dir, "figure", FIGURE)
         check(
@@ -161,7 +157,7 @@ def main() -> int:
             figures=[FIGURE],
             out_dir=str(tmp / "report"),
             executor=CountingExecutor(
-                jobs=1, cache=ResultCache(store_dir, backend="columnar")
+                jobs=1, cache=ResultCache(store_dir)
             ),
         )
         stats = outcome["stats"]
@@ -171,11 +167,11 @@ def main() -> int:
         )
         check(
             stats.simulations_run == 0 and stats.cache_misses == 0,
-            "report regeneration against the farm-filled store re-simulated "
+            "report regeneration against the farm-filled cache re-simulated "
             f"{stats.simulations_run} point(s) ({stats.cache_misses} misses)",
         )
 
-    print("OK: 2-worker farm fill + compact serves the figure with zero re-simulations")
+    print("OK: 2-worker farm fill serves the figure with zero re-simulations")
     return 0
 
 

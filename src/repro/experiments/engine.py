@@ -9,6 +9,8 @@ parallel.  This module turns a sweep into explicit data:
   stable content hash that identifies the simulation it describes;
 * :class:`ResultCache` — an on-disk JSON cache keyed by that hash, so
   re-running a figure script after touching only plotting code is free;
+  it is the only result store (the lease farm and the query CLI of
+  :mod:`repro.store` run on the same directory);
 * :class:`SweepExecutor` — fans points out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (worker count from the
   ``REPRO_JOBS`` environment variable, default ``os.cpu_count()``), with a
@@ -30,11 +32,6 @@ Environment variables
     Size cap for the cache directory in megabytes (default: unlimited).
     When a store pushes the directory past the cap, least-recently-used
     result files are evicted; loading an entry refreshes its recency.
-``REPRO_STORE``
-    Result-store backend: ``json`` (default; one file per point) or
-    ``columnar`` (append-only segment store, :mod:`repro.store`).  Both
-    backends share cache keys and values, so switching never invalidates
-    a result.
 ``REPRO_EXPERIMENT_SCALE``
     Consumed by :meth:`RunSettings.from_env` (see
     :mod:`repro.experiments.harness`); scaled settings hash differently, so
@@ -43,7 +40,8 @@ Environment variables
     Set to ``1`` to run every simulated point under :mod:`cProfile`.  Each
     point writes ``<hash>.pstats`` (raw, for ``snakeviz``/``pstats``) and
     ``<hash>.profile.txt`` (top-20 functions by cumulative time) into the
-    cache directory, next to the point's cache entry — cache *hits* are
+    executor's cache directory, next to the point's cache entry (or into
+    ``REPRO_CACHE_DIR`` when the cache is disabled) — cache *hits* are
     never profiled, so delete the entry (or disable the cache) to profile
     an already-cached point.  See "Profiling a sweep" in
     ``docs/performance.md``.
@@ -74,8 +72,6 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_ENV_VAR = "REPRO_CACHE"
 #: Cache size-cap environment variable (megabytes; unset = unlimited).
 CACHE_MAX_MB_ENV_VAR = "REPRO_CACHE_MAX_MB"
-#: Result-store backend environment variable (``json`` or ``columnar``).
-STORE_ENV_VAR = "REPRO_STORE"
 #: Per-point cProfile switch; profiles land next to the cache entries.
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 #: How many rows of the cumulative-time table ``*.profile.txt`` keeps.
@@ -182,44 +178,30 @@ def profiling_enabled() -> bool:
     )
 
 
-def execute_point(point: ExperimentPoint) -> SimulationResults:
+def execute_point(
+    point: ExperimentPoint, profile_dir: Optional[os.PathLike] = None
+) -> SimulationResults:
     """Run one point's simulation (also the process-pool worker function).
 
     Under ``REPRO_PROFILE=1`` the run executes inside a :mod:`cProfile`
     profiler and drops ``<hash>.pstats`` plus a rendered top-N table
-    (``<hash>.profile.txt``) into the cache directory, keyed like the
-    point's cache entry.  Profiling happens here — in the worker, around
-    exactly one simulation — so a parallel sweep yields one clean profile
-    per point instead of one blended profile per process.
+    (``<hash>.profile.txt``) into ``profile_dir`` — the caller's cache
+    directory, so the profile sits next to the point's cache entry
+    (default: :func:`default_cache_root`).  Profiling happens here — in
+    the worker, around exactly one simulation — so a parallel sweep yields
+    one clean profile per point instead of one blended profile per process.
     """
-    if profiling_enabled():
-        return _execute_point_profiled(point)
-    chip = Chip(point.config)
-    return chip.run_experiment(
-        warmup_references=point.settings.warmup_references,
-        detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
-        measure_cycles=point.settings.measure_cycles,
-    )
+    if not profiling_enabled():
+        return _simulate(point)
 
-
-def _execute_point_profiled(point: ExperimentPoint) -> SimulationResults:
     import cProfile
     import io
     import pstats
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        chip = Chip(point.config)
-        result = chip.run_experiment(
-            warmup_references=point.settings.warmup_references,
-            detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
-            measure_cycles=point.settings.measure_cycles,
-        )
-    finally:
-        profiler.disable()
+    result = profiler.runcall(_simulate, point)
 
-    root = default_cache_root()
+    root = Path(profile_dir) if profile_dir is not None else default_cache_root()
     root.mkdir(parents=True, exist_ok=True)
     stem = point.content_hash()
     profiler.dump_stats(root / f"{stem}.pstats")
@@ -229,6 +211,14 @@ def _execute_point_profiled(point: ExperimentPoint) -> SimulationResults:
     stats.print_stats(PROFILE_TOP_N)
     (root / f"{stem}.profile.txt").write_text(table.getvalue())
     return result
+
+
+def _simulate(point: ExperimentPoint) -> SimulationResults:
+    return Chip(point.config).run_experiment(
+        warmup_references=point.settings.warmup_references,
+        detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
+        measure_cycles=point.settings.measure_cycles,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -264,18 +254,6 @@ def default_cache_max_bytes() -> Optional[int]:
     return int(max_mb * 1024 * 1024)
 
 
-def resolve_store_backend(backend: Optional[str] = None) -> str:
-    """Backend name: explicit argument > ``REPRO_STORE`` > ``json``."""
-    if backend is None:
-        backend = os.environ.get(STORE_ENV_VAR, "").strip().lower() or "json"
-    if backend not in ("json", "columnar"):
-        raise ValueError(
-            f"{STORE_ENV_VAR}={backend!r} is not a known result-store backend "
-            "(expected 'json' or 'columnar')"
-        )
-    return backend
-
-
 class CacheCorruptionWarning(UserWarning):
     """A cache entry was unreadable and has been quarantined."""
 
@@ -289,14 +267,10 @@ _corruption_warned = False
 class ResultCache:
     """Result store keyed by :meth:`ExperimentPoint.content_hash`.
 
-    This class is the default **JSON-directory backend** (one
-    ``<hash>.json`` file per point) and the dispatch point for the
-    pluggable backends: constructing ``ResultCache(...)`` returns a
-    :class:`repro.store.cache.ColumnarResultCache` instead when
-    ``REPRO_STORE=columnar`` is set (or ``backend="columnar"`` is passed).
-    Both backends share keys and values, so a sweep can switch freely;
-    ``python -m repro.store.migrate`` imports a JSON directory into a
-    columnar store.
+    A directory of ``<hash>.json`` files, one per point, each written
+    atomically (temp file + ``os.replace``), so any number of processes —
+    parallel sweeps, farm workers (:mod:`repro.store.farm`) — can share
+    it, and shard directories combine by copying their files together.
 
     Corrupted or schema-incompatible entries are quarantined (renamed to
     ``*.corrupt``) and treated as misses, so a crashed writer or a format
@@ -310,26 +284,24 @@ class ResultCache:
     filesystems without reliable atimes.  Eviction tolerates concurrent
     writers: entries that vanish mid-scan (a sibling process evicted or
     rewrote them) are simply skipped.
+
+    ``backend`` accepts only ``"json"`` (anything else is a ``ValueError``
+    naming it).  It exists only until the next benchmark change: the
+    benchmark harness (``perfbench/workloads.py``) still passes
+    ``backend="json"`` and must keep running unchanged until then.
     """
-
-    def __new__(
-        cls,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
-    ):
-        if cls is ResultCache and resolve_store_backend(backend) == "columnar":
-            from repro.store.cache import ColumnarResultCache
-
-            return object.__new__(ColumnarResultCache)
-        return object.__new__(cls)
 
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
         max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: str = "json",
     ) -> None:
+        if backend != "json":
+            raise ValueError(
+                f"unknown result-store backend {backend!r}; the JSON cache "
+                "directory is the only store"
+            )
         self.root = Path(root) if root is not None else default_cache_root()
         self.max_bytes = max_bytes if max_bytes is not None else default_cache_max_bytes()
         # Running estimate of the directory size, so a capped sweep does not
@@ -565,11 +537,12 @@ class SweepExecutor:
 
         if not pending:
             return
+        profile_dir = self.cache.root if self.cache is not None else None
         # simulations_run counts *completed* simulations, so an abandoned
         # run_iter consumer leaves accurate stats behind.
         if self.jobs == 1 or len(pending) == 1:
             for point, indices in zip(pending, pending_indices):
-                result = execute_point(point)
+                result = execute_point(point, profile_dir)
                 stats.simulations_run += 1
                 if self.cache is not None:
                     self.cache.store(point, result)
@@ -579,7 +552,7 @@ class SweepExecutor:
             workers = min(self.jobs, len(pending))
             pool = ProcessPoolExecutor(max_workers=workers)
             futures = {
-                pool.submit(execute_point, point): position
+                pool.submit(execute_point, point, profile_dir): position
                 for position, point in enumerate(pending)
             }
             yielded = set()

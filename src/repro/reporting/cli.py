@@ -153,16 +153,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         "--jobs", type=int, default=None, help="worker processes (default: REPRO_JOBS)"
     )
     parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "serve results from the columnar store at DIR (repro.store) "
-            "instead of the REPRO_CACHE_DIR cache; equivalent to "
-            "REPRO_STORE=columnar REPRO_CACHE_DIR=DIR"
-        ),
-    )
-    parser.add_argument(
         "--workloads",
         default=None,
         help="comma-separated workload subset (default: the paper's six)",
@@ -222,20 +212,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
 
-    executor = None
-    if args.store is not None:
-        from repro.experiments.engine import ResultCache
-
-        executor = CountingExecutor(
-            jobs=args.jobs, cache=ResultCache(args.store, backend="columnar")
-        )
-
     outcome = generate(
         figures=args.figures,
         out_dir=args.out,
         settings=settings,
         jobs=args.jobs,
-        executor=executor,
         workload_names=workloads,
         core_counts=(
             [int(c) for c in args.cores.split(",") if c.strip()]

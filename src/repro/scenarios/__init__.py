@@ -20,8 +20,9 @@ This package is the experiment-facing surface of the reproduction:
 * :mod:`~repro.scenarios.run` — :func:`run_sweep` (blocking) and
   :func:`iter_results` (streams records as simulations finish).
 
-Shard caches are combined by importing each into one columnar store with
-``python -m repro.store.migrate`` and compacting (:mod:`repro.store`).
+Shard caches are combined by copying their ``*.json`` entries into one
+``REPRO_CACHE_DIR``: the file names are the points' content hashes, so
+shards never collide.
 
 Typical usage::
 
@@ -59,7 +60,6 @@ from repro.scenarios.results import (
     RecordDelta,
     ResultRecord,
     ResultSet,
-    TableMetrics,
     record_for,
 )
 from repro.scenarios.run import iter_results, run_sweep
@@ -74,7 +74,6 @@ __all__ = [
     "ResultSet",
     "SweepPoint",
     "SweepSpec",
-    "TableMetrics",
     "build_system",
     "fabric_for",
     "iter_results",

@@ -90,17 +90,11 @@ class ResultRecord:
     def full_result(self) -> Optional["SimulationResults"]:  # noqa: F821
         """The complete :class:`SimulationResults` behind this record.
 
-        Eager records return the retained result (``None`` when the sweep
-        ran with ``keep_results=False``); store-backed records
-        (:meth:`ResultSet.from_store_table`) materialise their row on
-        demand.  Non-scalar fields — ``per_tenant_latency``,
-        ``network_activity`` — are only reachable this way.
+        ``None`` when the sweep ran with ``keep_results=False``.
+        Non-scalar fields — ``per_tenant_latency``, ``network_activity`` —
+        are only reachable this way.
         """
-        if self.result is not None:
-            return self.result
-        if isinstance(self.metrics, TableMetrics):
-            return self.metrics.materialise()
-        return None
+        return self.result
 
     def to_dict(self, include_result: bool = False) -> Dict[str, object]:
         from repro.scenarios.spec import _json_value
@@ -134,41 +128,6 @@ class ResultRecord:
         )
 
 
-class TableMetrics(Mapping):
-    """Lazy metric view over one row of a columnar store table.
-
-    Stands in for a :class:`ResultRecord`'s ``metrics`` dict without
-    copying anything at construction: reading a metric materialises the
-    row's :class:`SimulationResults` once (cached inside the table) and
-    resolves the metric through the same attributes/properties
-    :func:`record_for` uses, so values are identical to the eager path.
-    """
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table, index: int) -> None:
-        self._table = table
-        self._index = index
-
-    def __getitem__(self, name: str) -> float:
-        if name not in METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self._table.result(self._index), name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(METRIC_NAMES)
-
-    def __len__(self) -> int:
-        return len(METRIC_NAMES)
-
-    def materialise(self) -> "SimulationResults":  # noqa: F821
-        """The row's full :class:`SimulationResults` (cached by the table)."""
-        return self._table.result(self._index)
-
-    def __repr__(self) -> str:
-        return f"TableMetrics(row {self._index})"
-
-
 def record_for(sweep_point, result, keep_result: bool = True) -> ResultRecord:
     """Build the :class:`ResultRecord` for one executed sweep point."""
     return ResultRecord(
@@ -189,9 +148,6 @@ class ResultSet(Sequence[ResultRecord]):
       ``axis_values(name)`` / ``pivot(index, columns, metric)`` /
       ``iter_values(metric, **coords)`` (streaming) — queries over the
       records' coordinates;
-    * ``from_store_table(sweep_points, table)`` — zero-copy construction
-      over a columnar store table (:mod:`repro.store`), metrics resolved
-      lazily per row;
     * ``merge(other)`` / ``summary(metric, **coords)`` / ``delta(other,
       metric)`` — combination and comparison across result sets (the
       reporting layer and before/after experiments build on these);
@@ -249,9 +205,7 @@ class ResultSet(Sequence[ResultRecord]):
 
         The streaming complement of :meth:`value`/:meth:`pivot`: records
         are visited in order and metric values resolved one at a time, so
-        a store-backed set (:meth:`from_store_table`) materialises only
-        the rows actually consumed — a serving layer can answer "first
-        matching row" queries without touching the rest of the table.
+        a consumer can stop at the first matching record.
         """
         for record in self.records:
             if record.matches(selection):
@@ -357,43 +311,6 @@ class ResultSet(Sequence[ResultRecord]):
                 )
             )
         return deltas
-
-    # -- store-backed construction -------------------------------------- #
-    @classmethod
-    def from_store_table(cls, sweep_points, table, spec=None) -> "ResultSet":
-        """Zero-copy construction over a columnar store table.
-
-        ``sweep_points`` are the expanded
-        :class:`~repro.scenarios.spec.SweepPoint`\\ s of a spec and
-        ``table`` a :class:`~repro.store.columnar.StoreTable` whose rows
-        line up with them (``table.hashes[i] ==
-        sweep_points[i].content_hash()`` — :func:`repro.store.query.load_sweep`
-        builds exactly this pairing).  No metric values are copied or even
-        read here: each record's ``metrics`` is a :class:`TableMetrics`
-        view that materialises its row on first access.
-        """
-        if len(sweep_points) != len(table):
-            raise ValueError(
-                f"{len(sweep_points)} sweep point(s) vs {len(table)} table "
-                "row(s); load the table from the same expansion"
-            )
-        records = []
-        for index, sweep_point in enumerate(sweep_points):
-            digest = table.hashes[index]
-            if sweep_point.content_hash() != digest:
-                raise ValueError(
-                    f"row {index} is keyed {digest[:12]}..., expected "
-                    f"{sweep_point.content_hash()[:12]}... — table and "
-                    "expansion are misaligned"
-                )
-            records.append(
-                ResultRecord(
-                    coords=dict(sweep_point.coords),
-                    metrics=TableMetrics(table, index),
-                    point_hash=digest,
-                )
-            )
-        return cls(records, spec=spec)
 
     # -- serialisation -------------------------------------------------- #
     def to_dict(self, include_results: bool = False) -> Dict[str, object]:

@@ -1,43 +1,18 @@
-"""Columnar result store: the fleet-shaped result path.
+"""Result-store services on the engine's JSON cache directory.
 
-The experiment engine's original cache is a directory of per-point JSON
-blobs — fine for one machine, the wrong shape for serving heavy query
-traffic from a warm store.  This package promotes results to an
-**append-only columnar segment store** (stdlib-only):
+The experiment engine's :class:`~repro.experiments.engine.ResultCache`
+(one ``<hash>.json`` file per point, written atomically) is the only
+result store.  This package adds the fleet-shaped services around it:
 
-* :mod:`repro.store.columnar` — the segment format and
-  :class:`ColumnarStore` (atomic appends, ``compact()`` folding, columnar
-  :class:`StoreTable` reads);
-* :mod:`repro.store.cache` — :class:`ColumnarResultCache`, the store
-  mounted behind the engine's :class:`~repro.experiments.engine.ResultCache`
-  API (selected by ``REPRO_STORE=columnar``);
-* :mod:`repro.store.migrate` — one-shot importer from a legacy JSON cache
-  directory (``python -m repro.store.migrate``);
 * :mod:`repro.store.farm` — lease-based sweep farm: N workers claim
   uncached points from a shared queue with crash-safe lease expiry and
-  append segments concurrently (``python -m repro.store.farm``);
+  store each result as it finishes (``python -m repro.store.farm``);
 * :mod:`repro.store.query` — the serving CLI: any registered figure or
-  pivot query answered from the warm store without touching the simulator
-  (``python -m repro.store.query``);
+  pivot query answered from a warm cache directory without touching the
+  simulator (``python -m repro.store.query``);
 * :mod:`repro.store.specs` — the registry of figure sweep specs the farm
   fills and the query CLI serves.
 
-See the "result path" section of ``docs/architecture.md`` for the segment
-format and lease lifecycle, and ``docs/experiments.md`` for recipes.
+See the "result store" section of ``docs/architecture.md`` for the lease
+lifecycle, and ``docs/experiments.md`` for recipes.
 """
-
-from repro.store.columnar import (
-    SEGMENT_SCHEMA_VERSION,
-    ColumnarStore,
-    CompactStats,
-    StoreError,
-    StoreTable,
-)
-
-__all__ = [
-    "SEGMENT_SCHEMA_VERSION",
-    "ColumnarStore",
-    "CompactStats",
-    "StoreError",
-    "StoreTable",
-]

@@ -1,21 +1,20 @@
-"""Lease-based sweep farm: N workers fill a columnar store concurrently.
+"""Lease-based sweep farm: N workers fill one result cache concurrently.
 
-The sharded-sweep recipe (``spec.shard(i, n)`` + cache merge) needs the
-shard count fixed up front and a human to fold the caches afterwards.
-The farm turns that into a service: every worker sees the *whole* spec,
-claims individual uncached points through an on-disk **lease queue**, and
-appends finished results to the shared :class:`ColumnarStore` in batches.
-Add workers at any time; kill them at any time — an expired lease from a
-crashed worker is re-claimed by whoever scans it next.
+Every worker sees the *whole* spec, claims individual uncached points
+through an on-disk **lease queue**, and stores each finished result in
+the shared JSON cache directory (:class:`ResultCache`) the moment it
+lands.  Add workers at any time; kill them at any time — an expired lease
+from a crashed worker is re-claimed by whoever scans it next.
 
-Lease lifecycle (all under ``<store>/leases/``):
+Lease lifecycle (all under ``<cache dir>/leases/``):
 
 1. **claim** — ``O_CREAT | O_EXCL`` of ``<hash>.lease`` (atomic on POSIX
    and NFS); the file records the worker id and expiry deadline.
 2. **hold** — the claimant simulates the point.  Leases are only released
-   *after* the result is visible in the store, so no other worker can
+   *after* the result is visible in the cache, so no other worker can
    observe "no lease, no result" for a point that is actually done.
-3. **release** — unlink after the batch containing the result is flushed.
+3. **release** — unlink once the result's ``<hash>.json`` is stored
+   (``ResultCache.store`` writes it atomically: temp file + ``os.replace``).
 4. **expiry** — a lease whose deadline passed is stolen by atomically
    renaming it to a unique tombstone (``os.rename`` succeeds for exactly
    one stealer) and re-claimed from step 1.
@@ -23,19 +22,18 @@ Lease lifecycle (all under ``<store>/leases/``):
 Double simulation is impossible while leases are honoured; the only race
 remaining (a worker stalls past its TTL and its lease is stolen while it
 still runs) wastes one simulation but stays correct, because results are
-deterministic and the store keeps the first write.
+deterministic: both writers store the same bytes under the same name.
 
 Usage::
 
-    # two terminals / machines sharing one store directory
-    python -m repro.store.farm --figure fig1 --store results-store
-    python -m repro.store.farm --figure fig1 --store results-store
+    # two terminals / machines sharing one cache directory
+    python -m repro.store.farm --figure fig1 --store results-cache
+    python -m repro.store.farm --figure fig1 --store results-cache
 
     # or: one command that forks N local workers
-    python -m repro.store.farm --figure fig1 --store results-store --workers 4
+    python -m repro.store.farm --figure fig1 --store results-cache --workers 4
 
-Environment: ``REPRO_FARM_LEASE_TTL`` (seconds, default 300) and
-``REPRO_FARM_FLUSH`` (results per appended segment, default 4) — see the
+Environment: ``REPRO_FARM_LEASE_TTL`` (seconds, default 300) — see the
 canonical table in ``docs/experiments.md``.
 """
 
@@ -43,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -53,16 +52,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
+from repro.experiments.engine import ResultCache, execute_point
 from repro.scenarios.spec import SweepSpec
-from repro.store.columnar import ColumnarStore
 
 #: Lease time-to-live environment variable (seconds).
 LEASE_TTL_ENV_VAR = "REPRO_FARM_LEASE_TTL"
-#: Results buffered per segment flush.
-FLUSH_ENV_VAR = "REPRO_FARM_FLUSH"
 
 DEFAULT_LEASE_TTL = 300.0
-DEFAULT_FLUSH = 4
 
 _LEASE_DIR = "leases"
 
@@ -71,20 +67,13 @@ def default_lease_ttl() -> float:
     env = os.environ.get(LEASE_TTL_ENV_VAR)
     if not env:
         return DEFAULT_LEASE_TTL
-    ttl = float(env)
+    try:
+        ttl = float(env)
+    except ValueError as exc:
+        raise ValueError(f"{LEASE_TTL_ENV_VAR} must be a number, got {env!r}") from exc
     if ttl <= 0:
         raise ValueError(f"{LEASE_TTL_ENV_VAR} must be positive, got {env!r}")
     return ttl
-
-
-def default_flush() -> int:
-    env = os.environ.get(FLUSH_ENV_VAR)
-    if not env:
-        return DEFAULT_FLUSH
-    flush = int(env)
-    if flush < 1:
-        raise ValueError(f"{FLUSH_ENV_VAR} must be >= 1, got {env!r}")
-    return flush
 
 
 class LeaseQueue:
@@ -179,7 +168,6 @@ class WorkerStats:
     already_stored: int = 0
     lease_lost: int = 0
     simulated: int = 0
-    segments_appended: int = 0
     simulated_hashes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -189,68 +177,51 @@ class WorkerStats:
         return (
             f"worker {self.worker_id}: {self.simulated}/{self.points_total} "
             f"simulated ({self.already_stored} already stored, "
-            f"{self.lease_lost} leased elsewhere), "
-            f"{self.segments_appended} segment(s) appended"
+            f"{self.lease_lost} leased elsewhere)"
         )
 
 
 def run_worker(
     spec: SweepSpec,
-    store: ColumnarStore,
+    cache: ResultCache,
     worker_id: Optional[str] = None,
     ttl: Optional[float] = None,
-    flush: Optional[int] = None,
     execute: Optional[Callable] = None,
 ) -> WorkerStats:
-    """Claim, simulate and append ``spec``'s uncached points until drained.
+    """Claim, simulate and store ``spec``'s uncached points until drained.
 
     ``execute`` overrides the simulator call (tests inject fakes); the
-    default is :func:`repro.experiments.engine.execute_point`.  Results are
-    buffered and appended ``flush`` rows per segment; leases are released
-    only after their results are flushed (crashing first just lets the
-    leases expire and the points be redone).
+    default is :func:`repro.experiments.engine.execute_point`, profiling
+    into the cache directory under ``REPRO_PROFILE``.  Each lease is
+    released only after its result is stored (crashing first just lets
+    the lease expire and the point be redone).
     """
-    from repro.experiments.engine import execute_point
-
-    execute = execute or execute_point
+    execute = execute or functools.partial(execute_point, profile_dir=cache.root)
     worker_id = worker_id or f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-    flush = flush if flush is not None else default_flush()
-    queue = LeaseQueue(store.root, ttl=ttl)
+    queue = LeaseQueue(cache.root, ttl=ttl)
     stats = WorkerStats(worker_id=worker_id)
-
-    batch: List[tuple] = []  # (digest, SimulationResults)
-
-    def flush_batch() -> None:
-        if not batch:
-            return
-        store.append_results(list(batch))
-        stats.segments_appended += 1
-        for digest, _ in batch:
-            queue.release(digest)
-        batch.clear()
 
     sweep_points = spec.expand()
     stats.points_total = len(sweep_points)
     for sweep_point in sweep_points:
-        digest = sweep_point.content_hash()
-        if digest in store:  # refreshes from disk on miss
+        point = sweep_point.point
+        if cache.load(point) is not None:
             stats.already_stored += 1
             continue
+        digest = sweep_point.content_hash()
         if not queue.try_claim(digest, worker_id):
             stats.lease_lost += 1
             continue
-        if digest in store:
-            # Finished by a worker whose flush beat our claim to the disk.
+        if cache.load(point) is not None:
+            # Finished by a worker whose release beat our claim to the disk.
             queue.release(digest)
             stats.already_stored += 1
             continue
-        result = execute(sweep_point.point)
+        result = execute(point)
+        cache.store(point, result)
+        queue.release(digest)
         stats.simulated += 1
         stats.simulated_hashes.append(digest)
-        batch.append((digest, result))
-        if len(batch) >= flush:
-            flush_batch()
-    flush_batch()
     return stats
 
 
@@ -285,9 +256,11 @@ def _spawn_workers(argv_base: List[str], count: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store.farm",
-        description="Fill a columnar result store by leasing uncached sweep points.",
+        description="Fill a result cache directory by leasing uncached sweep points.",
     )
-    parser.add_argument("--store", required=True, help="store directory (shared)")
+    parser.add_argument(
+        "--store", required=True, help="result cache directory (shared by all workers)"
+    )
     parser.add_argument("--spec", help="sweep spec JSON file (SweepSpec.to_json)")
     parser.add_argument(
         "--figure",
@@ -308,18 +281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{DEFAULT_LEASE_TTL:g})",
     )
     parser.add_argument(
-        "--flush",
-        type=int,
-        default=None,
-        help=f"results per appended segment (default: {FLUSH_ENV_VAR} or "
-        f"{DEFAULT_FLUSH})",
-    )
-    parser.add_argument(
-        "--compact",
-        action="store_true",
-        help="compact the store after this worker drains the spec",
-    )
-    parser.add_argument(
         "--summary",
         default=None,
         help="write this worker's stats as JSON to the given path",
@@ -338,25 +299,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         base = ["--store", args.store]
         base += ["--spec", args.spec] if args.spec else ["--figure", args.figure]
-        for name, value in (("--ttl", args.ttl), ("--flush", args.flush)):
-            if value is not None:
-                base += [name, str(value)]
-        status = _spawn_workers(base, args.workers)
-        if status == 0 and args.compact:
-            stats = ColumnarStore(args.store).compact()
-            print(f"compacted: {stats.summary()}")
-        return status
+        if args.ttl is not None:
+            base += ["--ttl", str(args.ttl)]
+        return _spawn_workers(base, args.workers)
 
-    store = ColumnarStore(args.store)
     stats = run_worker(
-        spec, store, worker_id=args.worker_id, ttl=args.ttl, flush=args.flush
+        spec, ResultCache(args.store), worker_id=args.worker_id, ttl=args.ttl
     )
     print(stats.summary())
     if args.summary:
         Path(args.summary).write_text(json.dumps(stats.to_dict(), indent=2))
-    if args.compact:
-        compact_stats = store.compact()
-        print(f"compacted: {compact_stats.summary()}")
     return 0
 
 

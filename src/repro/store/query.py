@@ -1,10 +1,10 @@
-"""Serving CLI: answer figure/pivot queries from a warm columnar store.
+"""Serving CLI: answer figure/pivot queries from a warm result cache.
 
 ``python -m repro.store.query`` is the read side of the sweep farm: it
-**never simulates**.  Every query resolves through the store only; a
-point missing from the store is a hard, explanatory error (exit code 3)
-instead of a silent multi-minute simulation — exactly what a serving
-fleet wants.
+**never simulates**.  Every query resolves through the JSON cache
+directory only; a point missing from it is a hard, explanatory error
+(exit code 3) instead of a silent multi-minute simulation — exactly what
+a serving fleet wants.
 
 Commands::
 
@@ -15,10 +15,10 @@ Commands::
 
 ``figure`` renders the named figure's paper-vs-measured Markdown section
 (the same bytes ``python -m repro.reporting`` would embed); ``pivot``
-expands the named sweep, reads the rows as one columnar table
-(zero-copy :meth:`ResultSet.from_store_table`) and prints the pivot as
-JSON.  Sweep names come from :mod:`repro.store.specs`; settings honour
-``REPRO_EXPERIMENT_SCALE`` (or ``--scale``) so smoke-scale stores are
+runs the named sweep through :func:`~repro.scenarios.run.run_sweep` on a
+:class:`WarmStoreExecutor` and prints the pivot as JSON.  Sweep names
+come from :mod:`repro.store.specs`; settings honour
+``REPRO_EXPERIMENT_SCALE`` (or ``--scale``) so smoke-scale caches are
 queried with smoke-scale keys.
 """
 
@@ -27,21 +27,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.experiments.engine import ResultCache, SweepExecutor, SweepStats
 from repro.experiments.harness import RunSettings
-from repro.scenarios.results import ResultSet
-from repro.store.columnar import ColumnarStore
+from repro.scenarios.run import run_sweep
 from repro.store.specs import figure_spec, spec_names
 
 
 class ColdStoreError(LookupError):
-    """A query needed points the store does not (yet) hold."""
+    """A query needed points the cache does not (yet) hold."""
 
 
 class WarmStoreExecutor(SweepExecutor):
-    """A :class:`SweepExecutor` that serves from the store and never simulates.
+    """A :class:`SweepExecutor` that serves from the cache and never simulates.
 
     Drop-in for the reporting layer's executor argument: cache hits stream
     out exactly like the parent's, but a miss raises :class:`ColdStoreError`
@@ -88,23 +87,18 @@ def _settings(args: argparse.Namespace) -> RunSettings:
     return RunSettings.from_env()
 
 
-def _cmd_stats(store: ColumnarStore, args: argparse.Namespace) -> int:
-    segments = store.segment_paths()
-    rows = len(store)
+def _cmd_stats(cache: ResultCache, args: argparse.Namespace) -> int:
+    entries = 0
     total_bytes = 0
-    for path in segments:
+    for path in cache.root.glob("*.json"):
         try:
             total_bytes += path.stat().st_size
-        except OSError:
-            pass
+        except OSError:  # evicted or rewritten by a concurrent writer
+            continue
+        entries += 1
     print(
         json.dumps(
-            {
-                "store": str(store.root),
-                "rows": rows,
-                "segments": len(segments),
-                "bytes": total_bytes,
-            },
+            {"store": str(cache.root), "entries": entries, "bytes": total_bytes},
             indent=2,
             sort_keys=True,
         )
@@ -112,7 +106,7 @@ def _cmd_stats(store: ColumnarStore, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(store: ColumnarStore, args: argparse.Namespace) -> int:
+def _cmd_figure(cache: ResultCache, args: argparse.Namespace) -> int:
     from repro.reporting.figures import build_report, report_names
     from repro.reporting.render import render_figure
 
@@ -122,12 +116,12 @@ def _cmd_figure(store: ColumnarStore, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    executor = WarmStoreExecutor(ResultCache(store.root, backend="columnar"))
+    executor = WarmStoreExecutor(cache)
     report = build_report(args.name, settings=_settings(args), executor=executor)
     print(render_figure(report))
     print(
-        f"<!-- served from {store.root}: {executor.total_stats.cache_hits} "
-        "row(s), 0 simulations -->"
+        f"<!-- served from {cache.root}: {executor.total_stats.cache_hits} "
+        "entries, 0 simulations -->"
     )
     return 0
 
@@ -145,28 +139,9 @@ def _parse_selection(pairs: Optional[Sequence[str]]) -> dict:
     return selection
 
 
-def load_sweep(
-    store: ColumnarStore, name: str, settings: Optional[RunSettings] = None
-) -> ResultSet:
-    """The named sweep as a zero-copy :class:`ResultSet` over store rows.
-
-    Raises :class:`ColdStoreError` (listing the shortfall) when any point
-    of the sweep is missing.
-    """
-    spec = figure_spec(name, settings)
-    sweep_points = spec.expand()
-    try:
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-    except KeyError as exc:
-        raise ColdStoreError(
-            f"store is cold for sweep {name!r}: {exc.args[0]}; fill it with "
-            "python -m repro.store.farm"
-        ) from None
-    return ResultSet.from_store_table(sweep_points, table, spec=spec)
-
-
-def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
-    results = load_sweep(store, args.name, _settings(args))
+def _cmd_pivot(cache: ResultCache, args: argparse.Namespace) -> int:
+    spec = figure_spec(args.name, _settings(args))
+    results = run_sweep(spec, executor=WarmStoreExecutor(cache))
     selection = _parse_selection(args.where)
     if selection:
         results = results.filter(**selection)
@@ -178,10 +153,10 @@ def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store.query",
-        description="Serve figure/pivot queries from a warm columnar store "
+        description="Serve figure/pivot queries from a warm result cache "
         "(never simulates).",
     )
-    parser.add_argument("--store", required=True, help="columnar store directory")
+    parser.add_argument("--store", required=True, help="result cache directory")
     parser.add_argument(
         "--scale",
         type=float,
@@ -190,7 +165,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("stats", help="row/segment counts for the store")
+    sub.add_parser("stats", help="entry count and bytes of the cache directory")
 
     figure = sub.add_parser(
         "figure", help="render one figure's paper-vs-measured section"
@@ -215,10 +190,9 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
-    store = ColumnarStore(args.store)
     commands = {"stats": _cmd_stats, "figure": _cmd_figure, "pivot": _cmd_pivot}
     try:
-        return commands[args.command](store, args)
+        return commands[args.command](ResultCache(args.store), args)
     except ColdStoreError as exc:
         print(f"cold store: {exc}", file=sys.stderr)
         return 3

@@ -435,6 +435,23 @@ class TestPointProfiling:
         assert "cumulative" in text
         assert "run_experiment" in text
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_profiles_land_in_the_executor_cache(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """Profiles follow the executor's cache, not REPRO_CACHE_DIR."""
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        cache = ResultCache(tmp_path / "cache")
+        points = [tiny_point(topology=Topology.MESH), tiny_point(topology=Topology.NOC_OUT)]
+        SweepExecutor(jobs=jobs, cache=cache).run(points)
+        for point in points:
+            stem = point.content_hash()
+            for suffix in (".json", ".pstats", ".profile.txt"):
+                assert (cache.root / f"{stem}{suffix}").exists()
+        assert not elsewhere.exists()
+
     def test_profiles_do_not_confuse_the_cache(self, tmp_path, monkeypatch):
         """Profile droppings next to entries must not count as entries."""
         monkeypatch.setenv("REPRO_PROFILE", "1")

@@ -1,35 +1,27 @@
-"""Tests for the columnar result store, the lease farm and the query path.
+"""Tests for the lease farm and the query path on the JSON cache directory.
 
-Covers the full result-path refactor: segment format round-trips,
-compaction canonicalisation, the ``REPRO_STORE`` backend dispatch in
-:class:`ResultCache`, the JSON-cache importer, the lease protocol (no
-double simulation, crash recovery), zero-copy :class:`ResultSet`
-construction and the never-simulates query CLI.
+Covers the lease protocol (no double simulation, crash recovery), farm
+fills that match a serial fill byte for byte, shard caches combined by
+copying files, the ``backend`` keyword left on :class:`ResultCache`, and
+the never-simulates query CLI.
 """
 
 import json
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.chip.chip import SimulationResults
-from repro.config.noc import Topology
-from repro.experiments.engine import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    SweepExecutor,
-    resolve_store_backend,
-)
+from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
-from repro.scenarios import METRIC_NAMES, ResultSet, SweepSpec, run_sweep
-from repro.store import ColumnarStore, StoreError
-from repro.store import farm, migrate, query, specs
-from repro.store.cache import ColumnarResultCache
+from repro.scenarios import METRIC_NAMES, SweepSpec, run_sweep
+from repro.store import farm, query, specs
 from repro.store.farm import LeaseQueue, run_worker
 
 from tests._fixtures import TINY_SETTINGS
-from tests.test_engine import tiny_point
 from tests.test_scenarios import ONE_WORKLOAD_SPEC
 
 
@@ -62,254 +54,49 @@ def tiny_spec(**axes) -> SweepSpec:
     return SweepSpec(axes=defaults, settings=TINY_SETTINGS, fixed={"num_cores": 16})
 
 
-class TestColumnarStore:
-    def test_append_get_round_trip(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(3)]
-        path = store.append_results(rows)
-        assert path is not None and path.exists()
-        for digest, result in rows:
-            assert digest in store
-            assert store.get(digest) == result
-        assert store.get("f" * 64) is None
-        assert len(store) == 3
-
-    def test_append_empty_is_a_no_op(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        assert store.append_results([]) is None
-        assert store.segment_paths() == []
-
-    def test_refresh_sees_sibling_appends(self, tmp_path):
-        """A second store instance over the same directory sees new rows."""
-        writer = ColumnarStore(tmp_path / "store")
-        reader = ColumnarStore(tmp_path / "store")
-        assert reader.get("0" * 64) is None
-        writer.append_results([("0" * 64, fake_result())])
-        # The reader refreshes lazily on the miss and finds the new segment.
-        assert reader.get("0" * 64) == fake_result()
-
-    def test_load_table_preserves_request_order(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(4)]
-        store.append_results(rows[:2])
-        store.append_results(rows[2:])
-        want = [rows[3][0], rows[0][0], rows[2][0]]
-        table = store.load_table(want)
-        assert list(table.hashes) == want
-        assert table.result(0) == fake_result(3)
-        assert table.result(1) == fake_result(0)
-        assert len(table) == 3
-
-    def test_load_table_missing_rows_raise_key_error(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        with pytest.raises(KeyError, match="1 of 2"):
-            store.load_table(["0" * 64, "f" * 64])
-
-    def test_first_write_wins_on_duplicate_hashes(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result(1))])
-        store.append_results([("0" * 64, fake_result(2))])
-        assert store.get("0" * 64) == fake_result(1)
-        stats = store.compact()
-        assert stats.duplicates_dropped == 1
-        assert store.get("0" * 64) == fake_result(1)
-
-    def test_compact_folds_to_one_canonical_segment(self, tmp_path):
-        """Same rows, different arrival orders -> byte-identical segment."""
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(5)]
-
-        def fill(root, order):
-            store = ColumnarStore(root)
-            for index in order:
-                store.append_results([rows[index]])
-            store.compact()
-            (segment,) = store.segment_paths()
-            return segment.read_bytes()
-
-        bytes_a = fill(tmp_path / "a", [0, 1, 2, 3, 4])
-        bytes_b = fill(tmp_path / "b", [4, 2, 0, 3, 1])
-        assert bytes_a == bytes_b
-
-    def test_compact_is_idempotent(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([(f"{i:064x}", fake_result(i)) for i in range(3)])
-        store.compact()
-        (segment,) = store.segment_paths()
-        before = segment.read_bytes()
-        stats = store.compact()
-        assert stats.duplicates_dropped == 0
-        (segment,) = store.segment_paths()
-        assert segment.read_bytes() == before
-
-    def test_malformed_segment_raises_store_error(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        (segment,) = store.segment_paths()
-        segment.write_text("{ not json")
-        with pytest.raises(StoreError, match="unreadable segment"):
-            ColumnarStore(tmp_path / "store").refresh()
-
-    def test_future_manifest_schema_refuses_loudly(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        manifest = json.loads(store.manifest_path.read_text())
-        manifest["schema"] = 99
-        store.manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="manifest schema"):
-            ColumnarStore(tmp_path / "store").refresh()
+def entries(root) -> dict:
+    """``{file name: bytes}`` of every cache entry under ``root``."""
+    return {path.name: path.read_bytes() for path in sorted(root.glob("*.json"))}
 
 
 class TestBackendDispatch:
+    """``backend`` survives only as ``"json"``, the one store there is."""
+
     def test_default_is_json_backend(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert type(cache) is ResultCache
-
-    def test_backend_argument_selects_columnar(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
-        assert isinstance(cache, ColumnarResultCache)
-        assert cache.root == tmp_path
-
-    def test_env_var_selects_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "columnar")
-        assert isinstance(ResultCache(tmp_path), ColumnarResultCache)
-        # An explicit argument still beats the environment.
         assert type(ResultCache(tmp_path, backend="json")) is ResultCache
 
-    def test_unknown_backend_is_an_error(self, monkeypatch):
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_store_backend("bogus")
-        monkeypatch.setenv("REPRO_STORE", "bogus")
-        with pytest.raises(ValueError, match="REPRO_STORE"):
-            ResultCache()
-
-    def test_columnar_cache_has_no_per_point_path(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
-        with pytest.raises(NotImplementedError):
-            cache.path_for(tiny_point())
-
-    def test_executor_round_trip_on_columnar_backend(self, tmp_path):
-        """Simulate through the columnar cache; rerun serves purely from it."""
-        cache = ResultCache(tmp_path / "store", backend="columnar")
-        points = [
-            tiny_point(topology=Topology.MESH),
-            tiny_point(topology=Topology.NOC_OUT),
-        ]
-        executor = SweepExecutor(jobs=1, cache=cache)
-        first = executor.run(points)
-        assert executor.last_stats.simulations_run == 2
-
-        fresh = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
-        )
-        second = fresh.run(points)
-        assert fresh.last_stats.simulations_run == 0
-        assert fresh.last_stats.cache_hits == 2
-        assert second == first
+    def test_unknown_backend_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="columnar"):
+            ResultCache(tmp_path, backend="columnar")
+        with pytest.raises(ValueError, match="None"):
+            ResultCache(tmp_path, backend=None)
 
 
-class TestMigrate:
-    def test_import_json_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        points = [
-            tiny_point(topology=Topology.MESH),
-            tiny_point(topology=Topology.NOC_OUT),
-        ]
-        executor = SweepExecutor(jobs=1, cache=cache)
-        results = executor.run(points)
-
-        store = ColumnarStore(tmp_path / "store")
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 2
-        assert stats.skipped_invalid == 0
-        assert len(store.segment_paths()) == 1  # compacted
-        for point, result in zip(points, results):
-            assert store.get(point.content_hash()) == result
-
-    def test_import_skips_invalid_and_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        point = tiny_point()
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        (tmp_path / "cache" / ("a" * 64 + ".json")).write_text("{ truncated")
-        (tmp_path / "cache" / ("b" * 64 + ".json")).write_text(
-            json.dumps({"schema": CACHE_SCHEMA_VERSION + 1, "result": {}})
-        )
-        (tmp_path / "cache" / "README.txt").write_text("not a result")
-
-        store = ColumnarStore(tmp_path / "store")
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 1
-        assert stats.skipped_invalid == 2
-        assert stats.ignored_files == 1
-        assert len(store) == 1
-
-    def test_reimport_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        SweepExecutor(jobs=1, cache=cache).run([tiny_point()])
-        store = ColumnarStore(tmp_path / "store")
-        migrate.migrate_cache(cache.root, store)
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 0
-        assert stats.already_stored == 1
-
-    def test_migrated_store_reproduces_report_byte_identically(self, tmp_path):
-        """JSON-backend report -> migrate -> columnar report: same bytes, 0 sims."""
-        from repro.reporting.cli import CountingExecutor, generate
-
-        kwargs = dict(
-            figures=["fig1"],
-            settings=TINY_SETTINGS,
-            workload_names=["Web Search"],
-            core_counts=(2, 4),
-        )
-        json_cache = ResultCache(tmp_path / "cache")
-        baseline = generate(
-            out_dir=str(tmp_path / "report-json"),
-            executor=CountingExecutor(jobs=1, cache=json_cache),
-            **kwargs,
-        )
-        assert baseline["stats"].simulations_run > 0
-
-        store = ColumnarStore(tmp_path / "store")
-        migrate.migrate_cache(json_cache.root, store)
-
-        replay = generate(
-            out_dir=str(tmp_path / "report-columnar"),
-            executor=CountingExecutor(
-                jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
-            ),
-            **kwargs,
-        )
-        assert replay["stats"].simulations_run == 0
-        assert replay["stats"].cache_misses == 0
-        assert replay["text"] == baseline["text"]
-
+class TestShardedCaches:
     def test_sharded_json_caches_combine_into_one_store(self, tmp_path):
-        """Shard -> one JSON cache per shard -> migrate both -> compact.
+        """Shard -> one JSON cache per shard -> copy both into one directory.
 
-        The combined store must serve the unsharded sweep without a single
-        simulation: every point lands in exactly one shard, and importing
-        loses none of them.
+        The combined directory must serve the unsharded sweep without a
+        single simulation: every point lands in exactly one shard, and the
+        file names (content hashes) never collide.
         """
         spec = ONE_WORKLOAD_SPEC
+        merged = tmp_path / "merged"
+        merged.mkdir()
         for index in range(2):
-            executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / f"s{index}"))
+            shard_dir = tmp_path / f"s{index}"
+            executor = SweepExecutor(jobs=1, cache=ResultCache(shard_dir))
             run_sweep(spec.shard(index, 2), executor=executor)
+            for path in shard_dir.glob("*.json"):
+                shutil.copy2(path, merged / path.name)
+        assert len(entries(merged)) == len(spec.expand())
 
-        store = ColumnarStore(tmp_path / "store")
-        imported = sum(
-            migrate.migrate_cache(tmp_path / f"s{index}", store, compact=False).imported
-            for index in range(2)
-        )
-        assert imported == len(spec.expand())
-        store.compact()
-        assert len(store.segment_paths()) == 1
-
-        executor = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
-        )
+        executor = SweepExecutor(jobs=1, cache=ResultCache(merged))
         run_sweep(spec, executor=executor)
         assert executor.last_stats.simulations_run == 0
+        assert executor.last_stats.cache_hits == len(spec.expand())
 
 
 class TestLeaseQueue:
@@ -349,6 +136,16 @@ class TestLeaseQueue:
         os.utime(path, (past, past))
         assert queue.try_claim("0" * 64, "w1")
 
+    def test_unparsable_ttl_env_names_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FARM_LEASE_TTL", "abc")
+        with pytest.raises(ValueError, match="REPRO_FARM_LEASE_TTL.*'abc'"):
+            farm.default_lease_ttl()
+        with pytest.raises(ValueError, match="REPRO_FARM_LEASE_TTL"):
+            LeaseQueue(tmp_path)
+        monkeypatch.setenv("REPRO_FARM_LEASE_TTL", "-1")
+        with pytest.raises(ValueError, match="REPRO_FARM_LEASE_TTL"):
+            farm.default_lease_ttl()
+
 
 class TestFarm:
     def test_concurrent_workers_never_double_simulate(self, tmp_path):
@@ -363,9 +160,9 @@ class TestFarm:
         stats = {}
 
         def work(worker_id):
-            store = ColumnarStore(tmp_path / "store")  # private instance, shared dir
+            cache = ResultCache(tmp_path / "store")  # private instance, shared dir
             stats[worker_id] = run_worker(
-                spec, store, worker_id=worker_id, flush=1, execute=execute
+                spec, cache, worker_id=worker_id, execute=execute
             )
 
         threads = [
@@ -380,7 +177,7 @@ class TestFarm:
         simulated_b = set(stats["w1"].simulated_hashes)
         assert simulated_a.isdisjoint(simulated_b)
         assert simulated_a | simulated_b == all_hashes
-        assert set(ColumnarStore(tmp_path / "store").hashes()) == all_hashes
+        assert set(entries(tmp_path / "store")) == {f"{h}.json" for h in all_hashes}
         assert LeaseQueue(tmp_path / "store").held() == []
 
     def test_crashed_worker_lease_is_reclaimed(self, tmp_path):
@@ -392,46 +189,65 @@ class TestFarm:
             assert crashed.try_claim(sweep_point.content_hash(), "crashed")
         time.sleep(0.1)
 
-        store = ColumnarStore(tmp_path / "store")
+        cache = ResultCache(tmp_path / "store")
         stats = run_worker(
-            spec, store, worker_id="w1", ttl=0.05,
+            spec, cache, worker_id="w1", ttl=0.05,
             execute=lambda point: fake_result(),
         )
         assert stats.simulated == len(sweep_points)
-        assert len(store) == len(sweep_points)
+        assert len(entries(cache.root)) == len(sweep_points)
+        assert LeaseQueue(cache.root).held() == []
 
     def test_worker_skips_already_stored_points(self, tmp_path):
         spec = tiny_spec()
-        store = ColumnarStore(tmp_path / "store")
-        run_worker(spec, store, worker_id="w0", execute=lambda point: fake_result())
+        cache = ResultCache(tmp_path / "store")
+        run_worker(spec, cache, worker_id="w0", execute=lambda point: fake_result())
         stats = run_worker(
-            spec, store, worker_id="w1", execute=lambda point: fake_result()
+            spec, cache, worker_id="w1", execute=lambda point: fake_result()
         )
         assert stats.simulated == 0
         assert stats.already_stored == spec.size()
 
-    def test_farm_fill_compacts_to_serial_bytes(self, tmp_path):
-        """Compacted farm store == compacted serial store, byte for byte."""
+    def test_farm_fill_matches_serial_bytes(self, tmp_path):
+        """Two racing farm workers leave the same files as a serial run_sweep."""
+        spec = tiny_spec(workload=("Web Search",))
 
-        def execute(point):
-            return fake_result(point.config.num_cores)
+        def work(worker_id):
+            run_worker(spec, ResultCache(tmp_path / "farm"), worker_id=worker_id)
 
-        spec = tiny_spec()
-        farm_store = ColumnarStore(tmp_path / "farm")
-        for worker_id in ("w0", "w1"):  # interleaved flushes (flush=1)
-            run_worker(spec, farm_store, worker_id=worker_id, flush=1, execute=execute)
-        farm_store.compact()
+        threads = [
+            threading.Thread(target=work, args=(name,)) for name in ("w0", "w1")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
-        serial_store = ColumnarStore(tmp_path / "serial")
-        run_worker(spec, serial_store, worker_id="serial", execute=execute)
-        serial_store.compact()
+        run_sweep(spec, executor=SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "serial")))
+        serial = entries(tmp_path / "serial")
+        assert len(serial) == spec.size()
+        assert entries(tmp_path / "farm") == serial
 
-        (farm_segment,) = farm_store.segment_paths()
-        (serial_segment,) = serial_store.segment_paths()
-        assert farm_segment.read_bytes() == serial_segment.read_bytes()
+    def test_worker_profiles_into_its_cache(self, tmp_path, monkeypatch):
+        """REPRO_PROFILE output lands in the farm's cache, not REPRO_CACHE_DIR."""
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        spec = tiny_spec(workload=("Web Search",), topology=("mesh",))
+        cache = ResultCache(tmp_path / "store")
+        run_worker(spec, cache, worker_id="w0")
+        digest = spec.expand()[0].content_hash()
+        assert (cache.root / f"{digest}.pstats").exists()
+        assert (cache.root / f"{digest}.profile.txt").exists()
+        assert not (tmp_path / "elsewhere").exists()
 
-    def test_cli_spawns_workers_and_compacts(self, tmp_path):
+    def test_cli_spawns_workers(self, tmp_path, monkeypatch):
         """End-to-end through main(): real simulations at tiny settings."""
+        import os
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
         spec = tiny_spec(workload=("Web Search",), topology=("mesh",))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
@@ -441,74 +257,61 @@ class TestFarm:
                 "--store", str(tmp_path / "store"),
                 "--spec", str(spec_path),
                 "--worker-id", "w0",
-                "--compact",
                 "--summary", str(summary_path),
             ]
         )
         assert status == 0
         summary = json.loads(summary_path.read_text())
         assert summary["simulated"] == 1
-        store = ColumnarStore(tmp_path / "store")
-        assert len(store) == 1
-        assert len(store.segment_paths()) == 1
+        assert len(entries(tmp_path / "store")) == 1
+
+        status = farm.main(
+            [
+                "--store", str(tmp_path / "store"),
+                "--spec", str(spec_path),
+                "--workers", "2",
+            ]
+        )
+        assert status == 0
+        assert len(entries(tmp_path / "store")) == 1
+        assert LeaseQueue(tmp_path / "store").held() == []
 
 
 class TestResultSetFromStore:
+    """A sweep served warm (never simulating) equals the simulated sweep."""
+
     def fill(self, tmp_path):
         spec = tiny_spec()
-        cache = ResultCache(tmp_path / "store", backend="columnar")
-        executor = SweepExecutor(jobs=1, cache=cache)
-        eager = run_sweep(spec, executor=executor)
-        return spec, cache.store_backend, eager
+        cache = ResultCache(tmp_path / "store")
+        eager = run_sweep(spec, executor=SweepExecutor(jobs=1, cache=cache))
+        served = run_sweep(spec, executor=query.WarmStoreExecutor(cache))
+        return served, eager
 
-    def test_zero_copy_equals_eager_records(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        assert len(lazy) == len(eager)
-        for lazy_record, eager_record in zip(lazy, eager):
-            assert lazy_record.coords == eager_record.coords
-            assert lazy_record.point_hash == eager_record.point_hash
-            for name in METRIC_NAMES:
-                assert lazy_record.metrics[name] == eager_record.metrics[name]
+    def test_served_records_equal_eager_records(self, tmp_path):
+        served, eager = self.fill(tmp_path)
+        assert len(served) == len(eager)
+        for served_record, eager_record in zip(served, eager):
+            assert served_record.coords == eager_record.coords
+            assert served_record.point_hash == eager_record.point_hash
+            assert served_record.metrics == eager_record.metrics
+            assert served_record.full_result() == eager_record.full_result()
 
     def test_pivot_matches_eager_path(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        assert lazy.pivot("workload", "topology") == eager.pivot(
+        served, eager = self.fill(tmp_path)
+        assert served.pivot("workload", "topology") == eager.pivot(
             "workload", "topology"
         )
 
     def test_metrics_reject_unknown_names(self, tmp_path):
-        spec, store, _ = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        record = ResultSet.from_store_table(sweep_points, table)[0]
+        served, _ = self.fill(tmp_path)
+        record = served[0]
         with pytest.raises(KeyError):
-            record.metrics["not_a_metric"]
+            record.metric("not_a_metric")
         assert set(record.metrics) == set(METRIC_NAMES)
 
-    def test_alignment_mismatch_is_an_error(self, tmp_path):
-        spec, store, _ = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        with pytest.raises(ValueError):
-            ResultSet.from_store_table(sweep_points[:-1], table)
-        reversed_table = store.load_table(
-            [sp.content_hash() for sp in reversed(sweep_points)]
-        )
-        with pytest.raises(ValueError):
-            ResultSet.from_store_table(sweep_points, reversed_table)
-
     def test_iter_values_streams_selected_metric(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        streamed = list(lazy.iter_values("throughput_ipc", topology="mesh"))
+        served, eager = self.fill(tmp_path)
+        streamed = list(served.iter_values("throughput_ipc", topology="mesh"))
         assert len(streamed) == 2
         for coords, value in streamed:
             assert coords["topology"] == "mesh"
@@ -522,29 +325,30 @@ class TestResultSetFromStore:
 class TestQueryCLI:
     SCALE = "0.02"
 
-    def fill_fig1(self, tmp_path):
+    def fill_fig1(self, tmp_path) -> ResultCache:
         """Farm-fill the fig1 sweep with synthetic results (no real sims)."""
         spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
-        store = ColumnarStore(tmp_path / "store")
+        cache = ResultCache(tmp_path / "store")
         run_worker(
             spec,
-            store,
+            cache,
             worker_id="w0",
             execute=lambda point: fake_result(point.config.num_cores),
         )
-        return store
+        return cache
 
-    def test_stats_reports_rows_and_segments(self, tmp_path, capsys):
-        store = self.fill_fig1(tmp_path)
-        assert query.main(["--store", str(store.root), "stats"]) == 0
+    def test_stats_reports_entries_and_bytes(self, tmp_path, capsys):
+        cache = self.fill_fig1(tmp_path)
+        assert query.main(["--store", str(cache.root), "stats"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"] == len(store)
-        assert payload["segments"] == len(store.segment_paths())
+        files = list(cache.root.glob("*.json"))
+        assert payload["entries"] == len(files) > 0
+        assert payload["bytes"] == sum(path.stat().st_size for path in files)
 
     def test_figure_served_from_warm_store(self, tmp_path, capsys):
-        store = self.fill_fig1(tmp_path)
+        cache = self.fill_fig1(tmp_path)
         status = query.main(
-            ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
+            ["--store", str(cache.root), "--scale", self.SCALE, "figure", "fig1"]
         )
         assert status == 0
         out = capsys.readouterr().out
@@ -552,10 +356,10 @@ class TestQueryCLI:
         assert "Figure 1" in out
 
     def test_pivot_served_from_warm_store(self, tmp_path, capsys):
-        store = self.fill_fig1(tmp_path)
+        cache = self.fill_fig1(tmp_path)
         status = query.main(
             [
-                "--store", str(store.root), "--scale", self.SCALE,
+                "--store", str(cache.root), "--scale", self.SCALE,
                 "pivot", "fig1",
                 "--index", "num_cores", "--columns", "topology",
                 "--metric", "per_core_ipc",
@@ -567,20 +371,24 @@ class TestQueryCLI:
         assert "mesh" in next(iter(table.values()))
 
     def test_cold_store_is_exit_code_3_not_a_simulation(self, tmp_path, capsys):
-        store = ColumnarStore(tmp_path / "empty")
-        status = query.main(
-            ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
-        )
-        assert status == 3
-        assert "cold store" in capsys.readouterr().err
-        assert len(store) == 0  # nothing was simulated to paper over the miss
+        root = tmp_path / "empty"
+        for command in (
+            ["figure", "fig1"],
+            ["pivot", "fig1", "--index", "num_cores", "--columns", "topology"],
+        ):
+            status = query.main(
+                ["--store", str(root), "--scale", self.SCALE, *command]
+            )
+            assert status == 3
+            assert "cold store" in capsys.readouterr().err
+        assert not root.exists()  # nothing was simulated to paper over the miss
 
     def test_unknown_names_are_exit_code_2(self, tmp_path, capsys):
-        store = ColumnarStore(tmp_path / "empty")
-        assert query.main(["--store", str(store.root), "figure", "nope"]) == 2
+        root = str(tmp_path / "empty")
+        assert query.main(["--store", root, "figure", "nope"]) == 2
         status = query.main(
             [
-                "--store", str(store.root), "pivot", "nope",
+                "--store", root, "pivot", "nope",
                 "--index", "a", "--columns", "b",
             ]
         )
